@@ -9,12 +9,16 @@ plan's deterministic inputs.  The ``full-off`` execution is the reference;
 every other configuration must agree tensor-by-tensor (float tolerance,
 positional NaN/Inf, exact int/bool/shape equality).
 
-Three further invariants ride along:
+Further invariants ride along:
 
 * a :class:`~repro.transform.WellFormedVerifier` instrument asserts
   well-formedness after *every* pass in every configuration;
 * the ``full-on`` executable runs twice and must reproduce itself exactly
   (CUDA-graph replay must not capture stale state);
+* the ``full-on`` executable runs three times in abstract mode on a plain
+  VM and on a traced twin, which always interprets: the plain VM's cost
+  tapes (captured, recorded, then applied) must leave every
+  :class:`~repro.runtime.ExecutionStats` field exactly equal;
 * the memory planner's Algorithm-3 invariant — two simultaneously-live
   tensors never share a storage — is checked structurally on the lowered
   module (:func:`aliasing_violations`).
@@ -29,10 +33,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .. import transform
+from .. import dtypes, transform
 from ..core import Call, Function, If, SeqExpr
 from ..core import Tuple as IRTuple
 from ..core import TupleGetItem, Var
+from ..obs.trace import TraceRecorder
 from ..runtime import NDArray, TEST_DEVICE, VirtualMachine, compare_values
 from ..transform import (
     PassContext,
@@ -49,7 +54,7 @@ class FuzzFailure(Exception):
     """A differential-testing invariant broke for one configuration.
 
     ``kind`` is one of: ``compile-error``, ``ill-formed``, ``runtime-error``,
-    ``divergence``, ``replay-divergence``, ``aliasing``.
+    ``divergence``, ``replay-divergence``, ``tape-divergence``, ``aliasing``.
     """
 
     def __init__(self, kind: str, config: str, detail: str):
@@ -114,6 +119,42 @@ def _localized(diff: str, ref_exe, exe, inputs) -> str:
     return f"{diff}; {where}" if where else diff
 
 
+def _check_tape(exe, config: str, inputs, runs: int = 3) -> None:
+    """Abstract-mode cost tape vs interpretation, call by call."""
+    args = [NDArray.abstract(np.shape(a), dtypes.from_numpy(np.asarray(a).dtype))
+            for a in inputs]
+    taped = VirtualMachine(exe, TEST_DEVICE, concrete=False)
+    traced = VirtualMachine(exe, TEST_DEVICE, concrete=False)
+    traced.tracer = TraceRecorder()
+    for i in range(runs):
+        outcomes = []
+        for vm in (taped, traced):
+            try:
+                outcomes.append(_structure(vm.run("main", *args)))
+            except Exception as err:
+                # Abstract mode cannot take data-dependent branches; both
+                # VMs must then fail alike.
+                outcomes.append(f"{type(err).__name__}: {err}")
+        if outcomes[0] != outcomes[1]:
+            raise FuzzFailure("tape-divergence", config,
+                              f"call {i}: result {outcomes[0]!r} vs "
+                              f"{outcomes[1]!r}")
+        if taped.stats != traced.stats:
+            raise FuzzFailure("tape-divergence", config,
+                              f"call {i}: stats {taped.stats} vs "
+                              f"{traced.stats}")
+        if isinstance(outcomes[0], str):
+            return
+
+
+def _structure(value):
+    if isinstance(value, tuple):
+        return tuple(_structure(v) for v in value)
+    if isinstance(value, NDArray):
+        return (value.shape, value.dtype)
+    return value
+
+
 def _run(exe, config: str, inputs):
     vm = VirtualMachine(exe, TEST_DEVICE, concrete=True)
     args = [NDArray.from_numpy(np.asarray(a)) for a in inputs]
@@ -153,6 +194,7 @@ def run_plan(plan: Plan, *, check_aliasing: bool = True) -> Dict[str, object]:
             diff = compare_values(out, again, rtol=0.0, atol=0.0)
             if diff is not None:
                 raise FuzzFailure("replay-divergence", config, diff)
+            _check_tape(exe, config, inputs)
         configs_run.append(config)
 
     if check_aliasing:

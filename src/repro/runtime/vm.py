@@ -20,6 +20,8 @@ feed the Table 2 memory numbers.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -225,6 +227,49 @@ class _Frame:
         self.heap = np.zeros(num_slots, dtype=np.int64)
 
 
+# Cost-tape operation codes.  A code >= 0 is a storage site index (the
+# operation re-runs that ``AllocStorage`` at the recorded size); the
+# negative codes are pool traffic and non-kernel clock charges.
+_POOL_ALLOC = -1  # AllocTensor from the pool; alloc overhead unless reused
+_POOL_ALLOC_ESC = -2  # the same for an escaping tensor
+_POOL_TAKE = -3  # builtin result from the pool; never charges overhead
+_POOL_FREE = -4  # KillTensor of a pool tensor
+_CLOCK = -5  # time_s += other_s[arg]
+_COMM = -6  # time_s and comm_time_s += other_s[arg]
+
+
+class _CostTape:
+    """What one graph-replayed call in abstract mode did to the clocks,
+    counters and memory, recorded so that later calls with the same full
+    argument signature can apply it instead of interpreting (DESIGN.md
+    §16).
+
+    ``kernel_s`` holds every kernel and library launch's time in launch
+    order; each is added to both ``time_s`` and ``kernel_time_s``.
+    ``ops`` holds flattened ``(position, code, arg)`` triples: the
+    operation runs just before ``kernel_s[position]``, so every float
+    charge lands in its original order.  ``other_s`` holds the builtin
+    clock charges the ``_CLOCK``/``_COMM`` ops index.
+    """
+
+    __slots__ = ("kernel_s", "ops", "other_s", "kernel_launches",
+                 "lib_calls", "builtin_calls", "result")
+
+    def __init__(self):
+        self.kernel_s = array("d")
+        self.ops = array("q")
+        self.other_s = array("d")
+        self.kernel_launches = self.lib_calls = self.builtin_calls = 0
+        self.result = None
+
+    def op(self, code: int, arg: int) -> None:
+        self.ops.extend((len(self.kernel_s), code, arg))
+
+    def clock(self, code: int, seconds: float) -> None:
+        self.op(code, len(self.other_s))
+        self.other_s.append(seconds)
+
+
 def ccl_combine(kind: str, chunks: List[np.ndarray], rank: int,
                 extra: int) -> np.ndarray:
     """Combine rank-ordered collective contributions (shared by the VM's
@@ -301,6 +346,22 @@ class VirtualMachine:
         self._cost_cache: Dict[Tuple, Tuple[int, int]] = {}
         self._replay_depth = 0
         self._const_cache: Dict[int, NDArray] = {}
+        # Per function: for each parameter, the bounded dims the graph
+        # key drops (``None`` when there are none).
+        self._graph_skips: Dict[str, Tuple] = {}
+        # Cost tapes by full argument signature (``None``: the call's
+        # result cannot be rebuilt, so that signature always interprets),
+        # the tape being recorded, and the storage sites tapes name.
+        self._tapes: Dict[Tuple, Optional[_CostTape]] = {}
+        self._tape_env: Tuple = ()
+        self._recording: Optional[_CostTape] = None
+        self._site_index: Dict[Tuple[str, int], int] = {}
+        self._sites: List[Tuple[Tuple[str, int], bool]] = []
+        self._result_parts: Dict[Tuple, Tuple] = {}
+        #: Graph replays served from a cost tape / interpreted although
+        #: eligible for one (abstract mode, no tracer attached).
+        self.tape_hits = 0
+        self.tape_misses = 0
 
     # -- public API ------------------------------------------------------------
 
@@ -347,9 +408,24 @@ class VirtualMachine:
             and self._replay_depth == 0
         )
         if use_graph:
-            key = (func_name, self._graph_signature(func, args))
+            taping = not self.concrete and self.tracer is None
+            key, tape_key = self._call_keys(func, args, taping)
             if key in self._graph_cache:
-                return self._run_replayed(func, args)
+                if tape_key is None:
+                    return self._run_replayed(func, args)
+                env = (self.device, self.interconnect, self.registry)
+                if env != self._tape_env:
+                    # Tapes hold prices from the old cost model.
+                    self._tapes.clear()
+                    self._tape_env = env
+                tape = self._tapes.get(tape_key)
+                if tape is not None:
+                    self.tape_hits += 1
+                    return self._apply_tape(tape, args)
+                self.tape_misses += 1
+                return self._run_replayed(
+                    func, args, None if tape_key in self._tapes else tape_key
+                )
             # First run with this shape signature: capture.
             self.stats.graph_captures += 1
             capture_s = 10 * self.device.kernel_launch_overhead
@@ -362,43 +438,188 @@ class VirtualMachine:
             return result
         return self._run_body(func, args)
 
-    def _run_replayed(self, func: VMFunction, args: List):
+    def _run_replayed(self, func: VMFunction, args: List,
+                      tape_key: Optional[Tuple] = None):
+        """Interpret a graph replay; with ``tape_key``, record its tape."""
+        stats = self.stats
+        tape = None
+        if tape_key is not None:
+            tape = self._recording = _CostTape()
+            builtins_before = stats.builtin_calls
         self._replay_depth += 1
-        launches_before = self.stats.kernel_launches + self.stats.lib_calls
+        kernels_before = stats.kernel_launches
+        libs_before = stats.lib_calls
         try:
             result = self._run_body(func, args)
         finally:
             self._replay_depth -= 1
-        self.stats.graph_replays += 1
-        replayed = self.stats.kernel_launches + self.stats.lib_calls - launches_before
-        self.stats.replayed_kernels += replayed
+            self._recording = None
+        stats.graph_replays += 1
+        kernels = stats.kernel_launches - kernels_before
+        libs = stats.lib_calls - libs_before
+        replayed = kernels + libs
+        stats.replayed_kernels += replayed
         if self.tracer is not None:
-            self.tracer.emit("graph_replay", func.name, self.stats.time_s,
+            self.tracer.emit("graph_replay", func.name, stats.time_s,
                              self.device.graph_launch_overhead, kernels=replayed)
-        self.stats.time_s += self.device.graph_launch_overhead
+        stats.time_s += self.device.graph_launch_overhead
+        if tape is not None:
+            tape.kernel_launches = kernels
+            tape.lib_calls = libs
+            tape.builtin_calls = stats.builtin_calls - builtins_before
+            cache = self._storage_cache
+            owners = {id(cache[k]): site for k, site in self._site_index.items()
+                      if k in cache}
+            positions = {id(a): i for i, a in enumerate(args)}
+            tape.result = self._result_template(result, positions, owners)
+            self._tapes[tape_key] = None if tape.result is None else tape
         return result
 
-    @staticmethod
-    def _graph_signature(func: VMFunction, args: List) -> Tuple:
-        """Capture key: like _signature but skipping bounded dynamic dims.
+    def _apply_tape(self, tape: _CostTape, args: List):
+        """Charge a graph replay from its tape instead of interpreting.
 
-        Dims planned with worst-case storage (declared upper bounds) do not
-        invalidate the captured graph when they vary — the replay updates
-        kernel parameters in place (cudaGraphExecUpdate semantics) — so
-        they are excluded from the key.
+        Float charges are added one at a time in their recorded order,
+        so every clock ends bit-identical to interpretation; storage and
+        pool operations re-run against the live caches.
         """
-        dynamic = func.attrs.get("graph_dynamic_dims") or {}
-        sig = []
-        for i, arg in enumerate(args):
-            skip = set(dynamic.get(i, ()))
-            if isinstance(arg, NDArray):
-                dims = tuple(
-                    -1 if d in skip else v for d, v in enumerate(arg.shape)
-                )
-                sig.append(("t",) + dims)
+        stats = self.stats
+        pool = self.pool
+        cache = self._storage_cache
+        sites = self._sites
+        alloc_s = self.device.alloc_overhead
+        kernel_s = tape.kernel_s
+        ops = tape.ops
+        t = stats.time_s
+        kt = stats.kernel_time_s
+        done = 0
+        for j in range(0, len(ops), 3):
+            at = ops[j]
+            for dt in kernel_s[done:at]:
+                t += dt
+                kt += dt
+            done = at
+            code = ops[j + 1]
+            arg = ops[j + 2]
+            if code >= 0:
+                key, escapes = sites[code]
+                cached = cache.get(key)
+                if cached is not None and cached.size == arg:
+                    continue
+                if cached is not None:
+                    stats.record_free(cached.size)
+                stats.record_alloc(arg, escapes)
+                t += alloc_s
+                cache[key] = Storage(arg, False)
+            elif code == _POOL_FREE:
+                pool.release(arg)
+            elif code >= _POOL_TAKE:
+                reused = pool.allocate(arg, code == _POOL_ALLOC_ESC)
+                if not reused and code != _POOL_TAKE:
+                    t += alloc_s
             else:
-                sig.append(VirtualMachine._signature([arg])[0])
-        return tuple(sig)
+                dt = tape.other_s[arg]
+                t += dt
+                if code == _COMM:
+                    stats.comm_time_s += dt
+        for dt in kernel_s[done:]:
+            t += dt
+            kt += dt
+        stats.time_s = t + self.device.graph_launch_overhead
+        stats.kernel_time_s = kt
+        stats.kernel_launches += tape.kernel_launches
+        stats.lib_calls += tape.lib_calls
+        stats.builtin_calls += tape.builtin_calls
+        stats.graph_replays += 1
+        stats.replayed_kernels += tape.kernel_launches + tape.lib_calls
+        return self._build_result(tape.result, args)
+
+    def _result_template(self, value, positions: Dict[int, int],
+                         owners: Dict[int, int]) -> Optional[Tuple]:
+        """How to rebuild a replay's result from a tape, or ``None`` when
+        it holds a value that cannot be rebuilt.  ``positions`` maps
+        argument ids to their index, ``owners`` storage ids to their
+        storage site.  A returned argument is stored as its bare index;
+        tensor entries are interned, so tapes whose results agree share
+        them."""
+        if isinstance(value, tuple):
+            parts = [self._result_template(v, positions, owners) for v in value]
+            return None if None in parts else ("tup", tuple(parts))
+        if id(value) in positions:
+            return positions[id(value)]
+        if isinstance(value, NDArray):
+            if value.storage is not None:
+                site = owners.get(id(value.storage))
+                if site is None:
+                    return None
+                part = ("st", value.shape, value.dtype, site)
+            elif any(value is c for c in self._const_cache.values()):
+                return ("obj", value)
+            else:
+                part = ("nd", value.shape, value.dtype)
+            return self._result_parts.setdefault(part, part)
+        if value is None or isinstance(value, (int, ShapeTuple)):
+            return ("obj", value)
+        return None
+
+    def _build_result(self, template, args: List):
+        if type(template) is int:
+            return args[template]
+        tag = template[0]
+        if tag == "tup":
+            return tuple(self._build_result(t, args) for t in template[1])
+        if tag == "st":
+            key = self._sites[template[3]][0]
+            return NDArray(template[1], template[2],
+                           storage=self._storage_cache[key])
+        if tag == "nd":
+            return NDArray(template[1], template[2])
+        return template[1]
+
+    def _call_keys(self, func: VMFunction, args: List,
+                   taping: bool) -> Tuple[Tuple, Optional[Tuple]]:
+        """The graph-capture key and, with ``taping``, the cost-tape key.
+
+        The capture key skips bounded dynamic dims: dims planned with
+        worst-case storage (declared upper bounds) do not invalidate the
+        captured graph when they vary — the replay updates kernel
+        parameters in place (cudaGraphExecUpdate semantics).  The tape
+        key keeps every dim, and adds dtypes, because kernel costs
+        depend on both.  It reuses the arguments' own shape tuples and
+        is ``None`` when an argument is neither a tensor, a shape nor an
+        int.  Argument kinds cannot collide in either key: a tensor adds
+        an all-int shape (capture key) or a dtype string and its shape
+        (tape key), a shape a tuple led by ``"s"`` (or ``None`` and its
+        values), an int itself.
+        """
+        skips = self._graph_skips.get(func.name)
+        if skips is None:
+            dynamic = func.attrs.get("graph_dynamic_dims") or {}
+            skips = self._graph_skips[func.name] = tuple(
+                frozenset(dynamic[i]) if dynamic.get(i) else None
+                for i in range(len(func.params))
+            )
+        sig: List = []
+        tape: List = [func.name]
+        for arg, skip in zip(args, skips):
+            if isinstance(arg, NDArray):
+                shape = arg.shape
+                sig.append(shape if skip is None else tuple(
+                    -1 if d in skip else v for d, v in enumerate(shape)
+                ))
+                tape.append(arg.dtype)
+                tape.append(shape)
+            elif isinstance(arg, ShapeTuple):
+                sig.append(("s",) + arg.values)
+                tape.append(None)
+                tape.append(arg.values)
+            elif isinstance(arg, int):
+                sig.append(arg)
+                tape.append(arg)
+            else:
+                sig.append(("x",) + VirtualMachine._signature([arg]))
+                taping = False
+        return ((func.name, tuple(sig)),
+                tuple(tape) if taping else None)
 
     @staticmethod
     def _signature(args: List) -> Tuple:
@@ -454,6 +675,8 @@ class VirtualMachine:
             arr = frame.regs[instr.reg]
             if isinstance(arr, NDArray) and arr.storage is None:
                 self.pool.release(arr.size_bytes())
+                if self._recording is not None:
+                    self._recording.op(_POOL_FREE, arr.size_bytes())
                 if self.tracer is not None:
                     self.tracer.emit("free", "pool_tensor", self.stats.time_s,
                                      0.0, instr.prov, size=arr.size_bytes())
@@ -531,6 +754,12 @@ class VirtualMachine:
     def _alloc_storage(self, func: VMFunction, instr: AllocStorage, frame: _Frame) -> Storage:
         size = self._dim_value(instr.size, frame)
         key = (func.name, id(instr))
+        if self._recording is not None:
+            site = self._site_index.get(key)
+            if site is None:
+                site = self._site_index[key] = len(self._sites)
+                self._sites.append((key, instr.escapes))
+            self._recording.op(site, size)
         cached = self._storage_cache.get(key)
         if cached is not None and cached.size == size:
             return cached
@@ -555,7 +784,7 @@ class VirtualMachine:
             storage = frame.regs[instr.storage]
             if not isinstance(storage, Storage):
                 raise VMError("AllocTensor storage register does not hold a Storage")
-            needed = int(np.prod(shape, dtype=np.int64)) * dtypes.itemsize(instr.dtype) if shape else dtypes.itemsize(instr.dtype)
+            needed = math.prod(shape) * dtypes.itemsize(instr.dtype)
             if needed > storage.size:
                 raise VMError(
                     f"tensor of {needed} bytes does not fit storage of {storage.size}"
@@ -563,6 +792,9 @@ class VirtualMachine:
             return NDArray.empty(shape, instr.dtype, self.concrete, storage=storage)
         arr = NDArray.empty(shape, instr.dtype, self.concrete)
         reused = self.pool.allocate(arr.size_bytes(), instr.escapes)
+        if self._recording is not None:
+            self._recording.op(_POOL_ALLOC_ESC if instr.escapes else _POOL_ALLOC,
+                               arr.size_bytes())
         if self.tracer is not None:
             self.tracer.emit(
                 "alloc", "pool_tensor", self.stats.time_s,
@@ -634,6 +866,8 @@ class VirtualMachine:
             )
         self.stats.time_s += time
         self.stats.kernel_time_s += time
+        if self._recording is not None:
+            self._recording.kernel_s.append(time)
         if include_launch:
             self.stats.launch_overhead_s += self.device.kernel_launch_overhead
         self.stats.lib_calls += 1
@@ -683,6 +917,8 @@ class VirtualMachine:
             )
         self.stats.time_s += time
         self.stats.kernel_time_s += time
+        if self._recording is not None:
+            self._recording.kernel_s.append(time)
         if include_launch:
             self.stats.launch_overhead_s += self.device.kernel_launch_overhead
         self.stats.kernel_launches += 1
@@ -734,16 +970,30 @@ class VirtualMachine:
         if instr.dst is not None:
             frame.regs[instr.dst] = result
 
+    def _builtin_clock(self, code: int, seconds: float) -> None:
+        """Charge a builtin's clock time (``_COMM``: interconnect time)."""
+        self.stats.time_s += seconds
+        if code == _COMM:
+            self.stats.comm_time_s += seconds
+        if self._recording is not None:
+            self._recording.clock(code, seconds)
+
+    def _pool_take(self, size: int) -> None:
+        """Allocate a builtin's result from the pool (no alloc overhead)."""
+        self.pool.allocate(size)
+        if self._recording is not None:
+            self._recording.op(_POOL_TAKE, size)
+
     def _builtin_unique(self, arr: NDArray) -> NDArray:
-        self.stats.time_s += self.device.kernel_launch_overhead * 2
+        self._builtin_clock(_CLOCK, self.device.kernel_launch_overhead * 2)
         if self.concrete:
             out = np.unique(arr.numpy())
-            self.pool.allocate(out.nbytes)
+            self._pool_take(out.nbytes)
             return NDArray.from_numpy(out)
         # Abstract mode: data-dependent length is unknowable; use the upper
         # bound (every element distinct), matching §4.3's bound-based planning.
         result = NDArray.abstract((arr.num_elements(),), arr.dtype)
-        self.pool.allocate(result.size_bytes())
+        self._pool_take(result.size_bytes())
         return result
 
     def _builtin_ccl(self, kind: str, args: List) -> NDArray:
@@ -777,7 +1027,7 @@ class VirtualMachine:
 
         # One host-side enqueue, like every builtin; the wire time is the
         # interconnect's ring cost over the full logical payload.
-        self.stats.time_s += self.device.kernel_launch_overhead
+        self._builtin_clock(_CLOCK, self.device.kernel_launch_overhead)
         if self.interconnect is not None and world > 1:
             full_bytes = arr.size_bytes()
             if kind == "all_gather":
@@ -785,8 +1035,7 @@ class VirtualMachine:
             comm_s = getattr(self.interconnect, f"{kind}_s")(
                 world, full_bytes
             )
-            self.stats.time_s += comm_s
-            self.stats.comm_time_s += comm_s
+            self._builtin_clock(_COMM, comm_s)
 
         if not self.concrete:
             shape = list(arr.shape)
@@ -800,7 +1049,7 @@ class VirtualMachine:
                     )
                 shape[extra] //= world
             result = NDArray.abstract(tuple(shape), arr.dtype)
-            self.pool.allocate(result.size_bytes())
+            self._pool_take(result.size_bytes())
             return result
 
         x = arr.numpy()
@@ -815,17 +1064,17 @@ class VirtualMachine:
             # Never alias a peer's (or our own) buffer: reduce_scatter
             # slices and broadcast returns the root's array directly.
             out = out.copy()
-        self.pool.allocate(out.nbytes)
+        self._pool_take(out.nbytes)
         return NDArray.from_numpy(out)
 
     def _builtin_nonzero(self, arr: NDArray) -> NDArray:
-        self.stats.time_s += self.device.kernel_launch_overhead * 2
+        self._builtin_clock(_CLOCK, self.device.kernel_launch_overhead * 2)
         if self.concrete:
             out = np.flatnonzero(arr.numpy()).astype(np.int64)
-            self.pool.allocate(out.nbytes)
+            self._pool_take(out.nbytes)
             return NDArray.from_numpy(out)
         result = NDArray.abstract((arr.num_elements(),), "i64")
-        self.pool.allocate(result.size_bytes())
+        self._pool_take(result.size_bytes())
         return result
 
     # -- misc --------------------------------------------------------------------------

@@ -246,9 +246,11 @@ class ClusterEngine:
 
     def run(self, requests: Sequence[Request]) -> "ClusterReport":
         """Serve the trace across the fleet; returns the merged report."""
+        engines = self.engines
+        for e in engines:
+            e.validate(requests)  # fail before serving, not mid-run
         unrouted = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
         assignments: List[Tuple[int, int]] = []  # (req_id, replica)
-        engines = self.engines
         while unrouted or any(e.has_work for e in engines):
             busy = [i for i, e in enumerate(engines) if e.has_work]
             t_floor = min(engines[i].clock for i in busy) if busy else None

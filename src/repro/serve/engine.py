@@ -306,17 +306,7 @@ class ServingEngine:
         the shared clock reaches them); a request only becomes eligible
         for admission once the engine clock reaches its ``arrival_s``.
         """
-        for r in requests:
-            if r.kind == "whisper" and self.whisper is None:
-                raise ValueError(
-                    "workload contains whisper requests but the engine was "
-                    "built without whisper_config"
-                )
-            if r.kind == "denoise" and self.denoise is None:
-                raise ValueError(
-                    "workload contains denoise requests but the engine was "
-                    "built without denoise_config"
-                )
+        self.validate(requests)
         if self._run is None:
             self._run = self._begin_run()
         run = self._run
@@ -344,6 +334,37 @@ class ServingEngine:
             run.requests.append(r)
         run.pending.extend(requests)
         run.pending.sort(key=lambda r: (r.arrival_s, r.req_id))
+
+    def validate(self, requests: Sequence[Request]) -> None:
+        """Reject requests this engine could never serve, with the cause.
+
+        :meth:`submit` calls this; a coordinator that feeds requests over
+        time (the cluster router) calls it on the whole trace up front,
+        so a bad request fails before serving starts, not mid-run.
+        """
+        sconf = self.econfig.scheduler
+        for r in requests:
+            if (r.kind == "llm" and sconf.prefill_chunk is None
+                    and r.prompt_len > sconf.max_num_batched_tokens):
+                # Unchunked prefill is all-or-nothing: this prompt could
+                # never be scheduled, and the run would stall on it.
+                raise ValueError(
+                    f"request {r.req_id}: prompt of {r.prompt_len} tokens "
+                    f"exceeds max_num_batched_tokens="
+                    f"{sconf.max_num_batched_tokens} with prefill_chunk=None "
+                    f"(unchunked prefill needs the whole prompt in one "
+                    f"iteration); raise the budget or enable chunking"
+                )
+            if r.kind == "whisper" and self.whisper is None:
+                raise ValueError(
+                    "workload contains whisper requests but the engine was "
+                    "built without whisper_config"
+                )
+            if r.kind == "denoise" and self.denoise is None:
+                raise ValueError(
+                    "workload contains denoise requests but the engine was "
+                    "built without denoise_config"
+                )
 
     def _begin_run(self) -> _RunState:
         econf = self.econfig

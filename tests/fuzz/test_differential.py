@@ -256,7 +256,7 @@ def test_corpus_repro_records_failure(path):
     plan, doc = load_repro(path)
     assert doc["failure"]["kind"] in {
         "compile-error", "ill-formed", "runtime-error",
-        "divergence", "replay-divergence", "aliasing",
+        "divergence", "replay-divergence", "tape-divergence", "aliasing",
     }
     assert plan.seed == doc["seed"]
     # The full oracle must also pass on the minimized plan (not just the

@@ -108,6 +108,20 @@ class TestRouting:
         with pytest.raises(ValueError, match="dp must be >= 1"):
             ClusterConfig(dp=0)
 
+    def test_prompt_over_unchunked_budget_rejected_before_serving(self):
+        engine = EngineConfig(
+            page_size=4, num_blocks=1024,
+            scheduler=SchedulerConfig(max_num_batched_tokens=8,
+                                      prefill_chunk=None),
+        )
+        requests = [
+            Request(req_id=0, arrival_s=0.0, prompt_len=8, output_len=2),
+            Request(req_id=1, arrival_s=1.0, prompt_len=30, output_len=2),
+        ]
+        with pytest.raises(ValueError, match="prefill_chunk=None"):
+            serve_cluster(TINY_LLAMA, TEST_DEVICE, requests,
+                          ClusterConfig(dp=2, engine=engine))
+
 
 class TestDeterminismAndIdentity:
     def test_same_trace_same_assignments_and_report(self):

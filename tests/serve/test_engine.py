@@ -134,6 +134,24 @@ def test_stall_on_impossible_request_is_an_error():
         engine.run(generate(wl))
 
 
+def test_prompt_over_unchunked_token_budget_is_rejected_at_submit():
+    """A prompt that can never fit the budget is not a KV-pool stall."""
+    engine = ServingEngine(
+        TINY_LLAMA, TEST_DEVICE,
+        EngineConfig(page_size=4, num_blocks=1024,
+                     scheduler=SchedulerConfig(max_num_batched_tokens=8,
+                                               prefill_chunk=None)),
+    )
+    request = Request(req_id=0, arrival_s=0.0, prompt_len=30, output_len=2)
+    with pytest.raises(ValueError, match=r"max_num_batched_tokens=8 with "
+                                         r"prefill_chunk=None"):
+        engine.submit([request])
+    assert engine.active_run is None
+    # A prompt within the budget still serves.
+    ok = Request(req_id=1, arrival_s=0.0, prompt_len=8, output_len=2)
+    assert engine.run([ok]).summary["num_finished"] == 1
+
+
 def test_iteration_deltas_sum_to_vm_totals():
     """The engine's per-iteration accounting telescopes to the VM clock."""
     engine = _engine()
